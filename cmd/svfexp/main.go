@@ -561,6 +561,9 @@ func run() int {
 		js := jr.Stats()
 		fmt.Printf("journal: %d cell(s) restored from disk, %d re-executed this run; %d record(s) appended (%d fsync batches)\n",
 			restored.Restored(), st.Misses, js.Appends, js.SyncBatches)
+		if js.AppendErrors > 0 {
+			fmt.Fprintf(os.Stderr, "svfexp: -journal: %d append(s) failed; those records are not durable\n", js.AppendErrors)
+		}
 	}
 	if s := faults.Summary(); s != "" {
 		fmt.Fprint(os.Stderr, "svfexp: "+s)

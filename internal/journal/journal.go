@@ -43,6 +43,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"svf/internal/faultinject"
 )
@@ -174,6 +175,8 @@ type Journal struct {
 	syncedTo int64      // guarded by syncMu
 	syncs    uint64     // fsync batches issued; guarded by syncMu
 	appends  uint64     // records appended durably; guarded by mu
+
+	appendErrors atomic.Uint64 // failed Appends
 }
 
 // Path returns the journal file's path inside dir.
@@ -358,8 +361,18 @@ func (j *Journal) replayAndRepair(noCompact bool) (*Replay, error) {
 }
 
 // Append durably adds one record. It returns once the record's bytes are
-// fsynced (possibly by a concurrent Append's sync that covered them).
+// fsynced (possibly by a concurrent Append's sync that covered them). A
+// failed append is counted in Stats().AppendErrors, so a caller that can
+// only drop the error still leaves a trace of it.
 func (j *Journal) Append(rec Record) error {
+	err := j.appendRecord(rec)
+	if err != nil {
+		j.appendErrors.Add(1)
+	}
+	return err
+}
+
+func (j *Journal) appendRecord(rec Record) error {
 	frame := encodeFrame(rec)
 
 	j.mu.Lock()
@@ -514,6 +527,9 @@ type Stats struct {
 	SyncBatches uint64
 	// SizeBytes is the journal file's current size.
 	SizeBytes int64
+	// AppendErrors is the number of Appends that returned an error (a
+	// closed or crashed journal, a failed write or fsync).
+	AppendErrors uint64
 }
 
 // Stats snapshots the journal's counters.
@@ -524,7 +540,7 @@ func (j *Journal) Stats() Stats {
 	j.syncMu.Lock()
 	syncs := j.syncs
 	j.syncMu.Unlock()
-	return Stats{Appends: appends, SyncBatches: syncs, SizeBytes: size}
+	return Stats{Appends: appends, SyncBatches: syncs, SizeBytes: size, AppendErrors: j.appendErrors.Load()}
 }
 
 // Close flushes, releases the directory lock and closes the file.

@@ -63,6 +63,27 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// An Append on a closed journal fails with ErrClosed and is counted, so
+// callers that drop the error still leave it visible in Stats.
+func TestJournalAppendAfterCloseCounted(t *testing.T) {
+	j, _ := openMust(t, t.TempDir(), Options{})
+	if err := j.Append(rec("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Stats().AppendErrors; n != 0 {
+		t.Fatalf("AppendErrors = %d after a good append, want 0", n)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(rec("b", 1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Close = %v, want ErrClosed", err)
+	}
+	if st := j.Stats(); st.AppendErrors != 1 || st.Appends != 1 {
+		t.Errorf("stats = %+v, want 1 append and 1 append error", st)
+	}
+}
+
 func TestJournalLastRecordPerKeyWins(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openMust(t, dir, Options{})

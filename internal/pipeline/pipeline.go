@@ -205,9 +205,9 @@ type Pipeline struct {
 	ruuConsHead []int32
 	consEdges   []consEdge
 	ruuInst     []isa.Inst
-	ruuMask  int
-	ruuHead  int
-	ruuCount int
+	ruuMask     int
+	ruuHead     int
+	ruuCount    int
 
 	// LSQ circular buffer, struct-of-arrays: addr/seq are what the
 	// disambiguation and commit paths scan; lsqMeta is the rest.
@@ -419,7 +419,7 @@ func (p *Pipeline) Reset(env Env) error {
 	for i := range p.wheel {
 		if cap(p.wheel[i]) == 0 {
 			o := i * wheelBucketCap
-			p.wheel[i] = p.wheelSlab[o:o : o+wheelBucketCap]
+			p.wheel[i] = p.wheelSlab[o : o : o+wheelBucketCap]
 		} else {
 			p.wheel[i] = p.wheel[i][:0]
 		}

@@ -103,8 +103,8 @@ type Pool struct {
 	workers   []*worker
 	idle      chan *worker
 	leaseSeq  uint64
-	assignSeq uint64                     // chaos-plan ordinal (1-based)
-	poison    map[string]map[int]bool    // cell key → worker slots it killed
+	assignSeq uint64                  // chaos-plan ordinal (1-based)
+	poison    map[string]map[int]bool // cell key → worker slots it killed
 	closed    bool
 	done      chan struct{} // closes to stop the watchdog
 

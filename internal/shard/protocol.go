@@ -8,10 +8,8 @@
 // coordinator; only the simulation itself moves out of process.
 //
 // Transport is deliberately minimal: every message is a 4-byte
-// little-endian length followed by a JSON frame. Local workers speak it
-// over their stdin/stdout pipes; the same framing carries the remote
-// ResultStore protocol (store_remote.go), so a TCP listener can serve both
-// without a new codec. See DESIGN.md §5g.
+// little-endian length followed by a JSON frame. Workers speak it over
+// their stdin/stdout pipes. See DESIGN.md §5g.
 package shard
 
 import (
@@ -189,7 +187,7 @@ const maxFrameBytes = 64 << 20
 
 // Typed decode errors. Every failure mode of the length-prefixed codec maps
 // onto exactly one of these (wrapped with context), so callers — and the
-// fuzz targets — can classify without string matching.
+// fuzz target — can classify without string matching.
 var (
 	// ErrFrameTooLarge: the length prefix claims more than maxFrameBytes.
 	ErrFrameTooLarge = errors.New("shard: frame exceeds size limit")
@@ -199,37 +197,6 @@ var (
 	// for the expected message type.
 	ErrFrameDecode = errors.New("shard: malformed frame")
 )
-
-// readBlock reads one length-prefixed block. io.EOF at a block boundary is
-// returned verbatim (a clean close). The claimed length is
-// corruption-controlled, so the body buffer grows only as bytes actually
-// arrive (io.CopyN copies in small chunks) rather than trusting the prefix
-// with a single up-front allocation — a truncated stream claiming 64 MiB
-// costs a few KB, not 64 MiB.
-func readBlock(r io.Reader, what string) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("shard: read %s header: %w: %w", what, ErrFrameTruncated, err)
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[:]))
-	if n > maxFrameBytes {
-		return nil, fmt.Errorf("shard: %s length %d exceeds %d-byte limit (corrupt stream?): %w", what, n, int64(maxFrameBytes), ErrFrameTooLarge)
-	}
-	var buf bytes.Buffer
-	buf.Grow(int(min(n, 64<<10)))
-	if _, err := io.CopyN(&buf, r, n); err != nil {
-		if err == io.EOF {
-			// EOF inside a body is not a clean close; keep errors.Is(err,
-			// io.EOF) reserved for frame boundaries.
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("shard: read %d-byte %s body: %w: %w", n, what, ErrFrameTruncated, err)
-	}
-	return buf.Bytes(), nil
-}
 
 // writeFrame marshals f and writes it length-prefixed. Callers serialise
 // concurrent writers (the worker's heartbeat goroutine vs its result
@@ -252,13 +219,34 @@ func writeFrame(w io.Writer, f *Frame) error {
 
 // readFrame reads one length-prefixed frame. io.EOF at a frame boundary is
 // returned verbatim (a clean close); EOF mid-frame is ErrFrameTruncated.
+// The claimed length is corruption-controlled, so the body buffer grows
+// only as bytes actually arrive (io.CopyN copies in small chunks) rather
+// than trusting the prefix with a single up-front allocation — a truncated
+// stream claiming 64 MiB costs a few KB, not 64 MiB.
 func readFrame(r io.Reader) (*Frame, error) {
-	data, err := readBlock(r, "frame")
-	if err != nil {
-		return nil, err
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("shard: read frame header: %w: %w", ErrFrameTruncated, err)
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[:]))
+	if n > maxFrameBytes {
+		return nil, fmt.Errorf("shard: frame length %d exceeds %d-byte limit (corrupt stream?): %w", n, int64(maxFrameBytes), ErrFrameTooLarge)
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(min(n, 64<<10)))
+	if _, err := io.CopyN(&buf, r, n); err != nil {
+		if err == io.EOF {
+			// EOF inside a body is not a clean close; keep errors.Is(err,
+			// io.EOF) reserved for frame boundaries.
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("shard: read %d-byte frame body: %w: %w", n, ErrFrameTruncated, err)
 	}
 	f := &Frame{}
-	if err := json.Unmarshal(data, f); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), f); err != nil {
 		return nil, fmt.Errorf("shard: decode frame: %w: %v", ErrFrameDecode, err)
 	}
 	return f, nil

@@ -276,8 +276,7 @@ func TestJournaledCacheShrunkenBudgetStillRetriesOnce(t *testing.T) {
 // exponentially and respects the cap — chaos tests must replay exactly.
 func TestJournaledBackoffDeterministic(t *testing.T) {
 	mk := func(seed int64) *RunCache {
-		c := NewRunCache()
-		c.store = &journalBackend{attempts: map[string]uint32{}, latched: map[string]*LatchedError{}}
+		c := NewRunCacheWithStore(NewMemStore())
 		c.SetBackoff(100*time.Millisecond, 5*time.Second, seed, nil)
 		return c
 	}
@@ -311,27 +310,62 @@ func TestJournaledBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// Plain in-memory caches keep the historical immediate retry: no backoff
-// sleeper is consulted.
-func TestPlainCacheRetriesWithoutBackoff(t *testing.T) {
-	c := NewRunCache()
-	slept := 0
-	c.SetBackoff(time.Hour, time.Hour, 1, func(context.Context, time.Duration) error {
-		slept++
-		return nil
-	})
-	prof := synth.Gzip()
-	calls := countingRunFn(c, func(call int) (*Result, error) {
-		if call == 1 {
-			return nil, &Fault{Bench: prof.ID(), Panic: "transient"}
-		}
-		return &Result{Bench: prof.ID()}, nil
-	})
-	if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000}); err != nil {
+// Every store-backed cache — memory store or journaled — waits out one
+// backoff before its retry; a plain cache keeps the historical immediate
+// retry and never consults the sleeper.
+func TestRetryBackoffByStore(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cache     func(t *testing.T) *RunCache
+		wantSleep int
+	}{
+		{"plain", func(*testing.T) *RunCache { return NewRunCache() }, 0},
+		{"memstore", func(*testing.T) *RunCache { return NewRunCacheWithStore(NewMemStore()) }, 1},
+		{"journaled", func(t *testing.T) *RunCache {
+			c, _, j := openJournaledCache(t, t.TempDir(), journal.Options{})
+			t.Cleanup(func() { j.Close() })
+			return c
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.cache(t)
+			slept := 0
+			c.SetBackoff(time.Hour, time.Hour, 1, func(context.Context, time.Duration) error {
+				slept++
+				return nil
+			})
+			prof := synth.Gzip()
+			calls := countingRunFn(c, func(call int) (*Result, error) {
+				if call == 1 {
+					return nil, &Fault{Bench: prof.ID(), Panic: "transient"}
+				}
+				return &Result{Bench: prof.ID()}, nil
+			})
+			if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000}); err != nil {
+				t.Fatal(err)
+			}
+			if *calls != 2 || slept != tc.wantSleep {
+				t.Errorf("calls=%d slept=%d, want 2 calls and %d sleeper call(s)", *calls, slept, tc.wantSleep)
+			}
+		})
+	}
+}
+
+// A journaled cache whose journal has gone away still serves the cell it
+// just ran — the append failure costs durability, not the result — and
+// the failure is counted in the journal's stats.
+func TestJournaledPutAfterCloseCountsAppendError(t *testing.T) {
+	c, _, j := openJournaledCache(t, t.TempDir(), journal.Options{})
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if *calls != 2 || slept != 0 {
-		t.Errorf("calls=%d slept=%d, want an immediate (no-backoff) retry", *calls, slept)
+	prof := synth.Gzip()
+	countingRunFn(c, func(int) (*Result, error) { return &Result{Bench: prof.ID()}, nil })
+	if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000}); err != nil {
+		t.Fatalf("run with a closed journal = %v, want the result", err)
+	}
+	if st := j.Stats(); st.AppendErrors != 1 || st.Appends != 0 {
+		t.Errorf("journal stats = %+v, want 1 append error and 0 appends", st)
 	}
 }
 

@@ -75,7 +75,7 @@ type RunCache struct {
 	retries    int
 	retriesSet bool
 
-	// Backoff policy for journaled retries (journal.go).
+	// Backoff policy for store-backed retries (journal.go).
 	backoffBase, backoffCap time.Duration
 	backoffSeed             int64
 	sleep                   func(context.Context, time.Duration) error
@@ -137,7 +137,7 @@ func Canonical(opt Options) Options {
 // counts in cnt.errors; every re-execution in cnt.retries.
 //
 // When the cache has a store and key is non-empty, supervision spans the
-// store's lifetime (for the journal backend: across process death): prior
+// store's lifetime (with a journal attached: across process death): prior
 // attempts count against the budget, each retry waits out the cell's seeded
 // exponential backoff, every failure is recorded as a fault (the final one
 // latched permanent), and a success is recorded via record so a later
@@ -297,7 +297,6 @@ func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*
 			c.obs.emit(telemetry.Event{Type: "latched", Bench: prof.ID(), Key: skey, Err: gerr.Error(), Detail: "refused without execution"})
 			return nil, gerr
 		}
-		c.seedRunFromStore(key, skey)
 	}
 	var onServe func(shared bool)
 	if c.obs != nil {
@@ -344,7 +343,6 @@ func (c *RunCache) Traffic(ctx context.Context, prof *synth.Profile, policy pipe
 			c.obs.emit(telemetry.Event{Type: "latched", Bench: prof.ID(), Key: skey, Err: gerr.Error(), Detail: "refused without execution"})
 			return 0, 0, 0, gerr
 		}
-		c.seedTrafficFromStore(key, skey)
 	}
 	var onServe func(shared bool)
 	if c.obs != nil {
@@ -560,14 +558,6 @@ func (g *flightGroup[K, V]) len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.m)
-}
-
-// has reports whether key is resident (completed or in flight).
-func (g *flightGroup[K, V]) has(key K) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.m[key]
-	return ok
 }
 
 // seed installs an already-completed entry (a cell restored from the

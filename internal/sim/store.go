@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 
 	"svf/internal/journal"
@@ -11,26 +12,15 @@ import (
 
 // ResultStore is the storage backend behind a RunCache: it persists
 // completed cells as journal records, remembers per-cell fault attempts so
-// the bounded-retry supervision survives the cache (and, for durable
-// backends, the process), and gates cells whose budget is exhausted.
+// the bounded-retry supervision survives the cache (and, with a journal,
+// the process), and gates cells whose budget is exhausted.
 //
-// Three backends exist:
-//
-//   - the in-memory store (NewMemStore): attempts and quarantine latches
-//     hold for the process lifetime only — what a sharded campaign without
-//     a journal uses so a poison cell stays latched;
-//   - the journaled store (NewRunCacheWithJournal): every Put/Fault is a
-//     durable journal append and the whole state survives kill -9;
-//   - the coordinator-remote store (internal/shard.RemoteStore): the same
-//     operations forwarded over the shard wire protocol, so a worker- or
-//     client-side cache shares the coordinator's durable state.
+// MemStore is the one implementation, with or without a write-through
+// journal (NewRunCacheWithJournal attaches one); the interface is the seam
+// a decorator wraps, e.g. to time each Put.
 //
 // All methods must be safe for concurrent use.
 type ResultStore interface {
-	// Lookup returns the persisted record for a completed cell, if the
-	// store has one. The cache decodes it and serves the cell without
-	// executing.
-	Lookup(key string) (journal.Record, bool)
 	// Put persists a completed cell, superseding any fault state for it.
 	Put(rec journal.Record)
 	// Fault persists one failed execution attempt (cumulative count);
@@ -48,61 +38,72 @@ type ResultStore interface {
 	Restored(key string) bool
 }
 
-// MemStore is the in-memory ResultStore: completed records, fault attempts
-// and permanent latches held in maps for the process lifetime. Nothing is
-// durable, but the retry budget, backoff and poison-cell quarantine
-// semantics are identical to the journaled backend — which is exactly what
-// a sharded campaign without -journal needs.
+// MemStore is the ResultStore: fault attempts, permanent latches and the
+// keys a journal replay restored, held in maps. Without a journal the
+// state lasts the process lifetime — what a sharded campaign without
+// -journal needs so a poison cell stays latched. With one, every Put and
+// Fault is also appended durably and the state survives kill -9.
+// Completed results live in the RunCache itself, not here.
 type MemStore struct {
-	mu       sync.Mutex
-	records  map[string]journal.Record
+	// j, when non-nil, receives every Put and Fault as a durable append.
+	// Append failures only cost durability (the in-memory state is
+	// already good); the journal counts them in Stats().AppendErrors.
+	j *journal.Journal
+
+	mu sync.Mutex
+	// attempts maps a cell key to its cumulative failed executions.
 	attempts map[string]uint32
-	latched  map[string]*LatchedError
+	// latched maps a cell key to its permanent-failure record.
+	latched map[string]*LatchedError
+	// restored marks the cell keys seeded from the journal replay.
+	restored map[string]bool
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		records:  map[string]journal.Record{},
 		attempts: map[string]uint32{},
 		latched:  map[string]*LatchedError{},
+		restored: map[string]bool{},
 	}
-}
-
-// Lookup implements ResultStore.
-func (s *MemStore) Lookup(key string) (journal.Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.records[key]
-	return rec, ok
 }
 
 // Put implements ResultStore.
 func (s *MemStore) Put(rec journal.Record) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.records[rec.Key] = rec
 	delete(s.attempts, rec.Key)
 	delete(s.latched, rec.Key)
+	s.mu.Unlock()
+	if s.j != nil {
+		_ = s.j.Append(rec) // counted in the journal's AppendErrors; see j
+	}
 }
 
 // Fault implements ResultStore.
 func (s *MemStore) Fault(key, bench string, attempts uint32, permanent bool, cause error) {
 	poison := isPermanentFault(cause)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if permanent {
 		s.latched[key] = &LatchedError{Bench: bench, Key: key, Attempts: attempts, Msg: cause.Error(), Poison: poison}
 		delete(s.attempts, key)
+	} else {
+		s.attempts[key] = attempts
+	}
+	s.mu.Unlock()
+	if s.j == nil {
 		return
 	}
-	s.attempts[key] = attempts
+	data, err := json.Marshal(faultPayload{Bench: bench, Msg: cause.Error(), Poison: poison})
+	if err != nil {
+		return
+	}
+	_ = s.j.Append(journal.Record{Kind: recKindFault, Key: key, Attempts: attempts, Permanent: permanent, Data: data})
 }
 
-// Gate implements ResultStore. Like the journaled backend, the latch stores
-// attempts rather than a verdict: raising the budget past Attempts makes
-// the cell retryable again — except for poison latches, which hold at any
-// budget (the quarantine counted worker deaths, not attempts).
+// Gate implements ResultStore. The latch stores attempts rather than a
+// verdict: raising the budget past Attempts makes the cell retryable
+// again — except for poison latches, which hold at any budget (the
+// quarantine counted worker deaths, not attempts).
 func (s *MemStore) Gate(key string, budget uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,17 +123,19 @@ func (s *MemStore) PriorAttempts(key string) uint32 {
 	return s.attempts[key]
 }
 
-// Restored implements ResultStore; an in-memory store has no previous
-// session to restore from.
-func (s *MemStore) Restored(string) bool { return false }
+// Restored implements ResultStore: whether key was seeded by a journal
+// replay (always false without one).
+func (s *MemStore) Restored(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.restored[key]
+}
 
 // NewRunCacheWithStore returns a cache whose cell state lives in store:
-// completed cells are Put (and served back via Lookup without
-// re-executing), failed attempts accumulate across the store's lifetime
-// under the retry budget with backoff, and latched cells are refused at the
-// gate. NewRunCacheWithJournal is this constructor specialised to the
-// journal backend; pass a MemStore for process-lifetime-only semantics or a
-// shard.RemoteStore to share a coordinator's state.
+// completed cells are Put, failed attempts accumulate across the store's
+// lifetime under the retry budget with backoff, and latched cells are
+// refused at the gate. Pass a MemStore for process-lifetime semantics;
+// NewRunCacheWithJournal builds one with a journal attached and replayed.
 func NewRunCacheWithStore(store ResultStore) *RunCache {
 	c := NewRunCache()
 	c.store = store
@@ -204,35 +207,4 @@ func (c *RunCache) storeRestored(key string) bool {
 		return false
 	}
 	return c.store.Restored(key)
-}
-
-// seedFromStore consults the store for a completed cell the in-memory map
-// does not have yet — how a cache over a remote (or freshly attached) store
-// restores cells lazily — and seeds it so the request is served as an
-// ordinary hit. The journal-backed cache seeds eagerly at open; this path
-// only fires for keys the replay did not cover.
-func (c *RunCache) seedRunFromStore(key runKey, skey string) {
-	if c.store == nil || c.runs.has(key) {
-		return
-	}
-	rec, ok := c.store.Lookup(skey)
-	if !ok || rec.Kind != recKindRun {
-		return
-	}
-	if k, res, ok := decodeRunRecord(rec); ok && k == key {
-		c.runs.seed(k, res)
-	}
-}
-
-func (c *RunCache) seedTrafficFromStore(key trafficKey, skey string) {
-	if c.store == nil || c.traffic.has(key) {
-		return
-	}
-	rec, ok := c.store.Lookup(skey)
-	if !ok || rec.Kind != recKindTraffic {
-		return
-	}
-	if k, v, ok := decodeTrafficRecord(rec); ok && k == key {
-		c.traffic.seed(k, v)
-	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -16,52 +17,106 @@ type poisonErr struct{ msg string }
 func (e *poisonErr) Error() string        { return e.msg }
 func (e *poisonErr) PermanentFault() bool { return true }
 
-// TestMemStoreSemantics pins the in-memory backend's contract: attempts
-// accumulate, Put supersedes fault state, budget latches unlatch when the
-// budget rises, poison latches never do.
+// TestMemStoreSemantics pins the store's contract, in memory and with a
+// journal attached: attempts accumulate, Put supersedes fault state, budget
+// latches unlatch when the budget rises, poison latches never do. A
+// journaled store must give the same answers after a reopen replays it,
+// and report Restored only for the completed cell the replay seeded.
 func TestMemStoreSemantics(t *testing.T) {
-	s := NewMemStore()
-	if _, ok := s.Lookup("k"); ok {
-		t.Error("empty store Lookup = hit")
+	prof := synth.Gzip()
+	key := runKey{prof.Fingerprint(), Canonical(Options{MaxInsts: 1000})}
+	data, err := json.Marshal(runPayload{Prof: key.prof, Opt: key.opt, Res: &Result{Bench: prof.ID()}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Restored("k") {
-		t.Error("MemStore.Restored = true")
+	done := journal.Record{Kind: recKindRun, Key: runJournalKey(key), Data: data}
+	k := done.Key
+
+	// settled checks the state the sequence below leaves behind: k
+	// completed, f pending one failure, l budget-latched at 2, p poisoned.
+	settled := func(t *testing.T, s *MemStore) {
+		t.Helper()
+		for key, want := range map[string]uint32{k: 0, "f": 1, "l": 2, "p": 1} {
+			if got := s.PriorAttempts(key); got != want {
+				t.Errorf("PriorAttempts(%s) = %d, want %d", key, got, want)
+			}
+		}
+		if err := s.Gate(k, 1); err != nil {
+			t.Errorf("Gate after Put = %v", err)
+		}
+		if err := s.Gate("f", 2); err != nil {
+			t.Errorf("Gate on pending cell = %v", err)
+		}
+		var le *LatchedError
+		if err := s.Gate("l", 2); !errors.As(err, &le) || le.Poison || le.Attempts != 2 {
+			t.Errorf("Gate at budget = %v, want a non-poison latch at 2 attempts", err)
+		}
+		if err := s.Gate("l", 3); err != nil {
+			t.Errorf("Gate with raised budget = %v, want unlatched", err)
+		}
+		if err := s.Gate("p", 1000); !errors.As(err, &le) || !le.Poison {
+			t.Errorf("Gate on poison cell = %v, want a poison latch", err)
+		}
 	}
 
-	s.Fault("k", "b", 1, false, errors.New("transient"))
-	if got := s.PriorAttempts("k"); got != 1 {
-		t.Errorf("PriorAttempts = %d, want 1", got)
-	}
-	if err := s.Gate("k", 2); err != nil {
-		t.Errorf("Gate with budget left = %v", err)
-	}
+	for _, mode := range []string{"memory", "journaled"} {
+		t.Run(mode, func(t *testing.T) {
+			s := NewMemStore()
+			var dir string
+			var j *journal.Journal
+			if mode == "journaled" {
+				dir = t.TempDir()
+				var c *RunCache
+				c, _, j = openJournaledCache(t, dir, journal.Options{})
+				s = c.Store().(*MemStore)
+			}
+			if s.Restored(k) {
+				t.Error("Restored = true before any replay")
+			}
 
-	// Budget latch: refused at the latching budget, admitted at a bigger one.
-	s.Fault("k", "b", 2, true, errors.New("final"))
-	var le *LatchedError
-	if err := s.Gate("k", 2); !errors.As(err, &le) || le.Poison {
-		t.Errorf("Gate at budget = %v, want a non-poison latch", err)
-	}
-	if err := s.Gate("k", 3); err != nil {
-		t.Errorf("Gate with raised budget = %v, want unlatched", err)
-	}
+			s.Fault(k, "b", 1, false, errors.New("transient"))
+			if got := s.PriorAttempts(k); got != 1 {
+				t.Errorf("PriorAttempts = %d, want 1", got)
+			}
+			if err := s.Gate(k, 2); err != nil {
+				t.Errorf("Gate with budget left = %v", err)
+			}
+			// Budget latch: refused at the latching budget, admitted at a
+			// bigger one.
+			s.Fault(k, "b", 2, true, errors.New("final"))
+			var le *LatchedError
+			if err := s.Gate(k, 2); !errors.As(err, &le) || le.Poison {
+				t.Errorf("Gate at budget = %v, want a non-poison latch", err)
+			}
+			if err := s.Gate(k, 3); err != nil {
+				t.Errorf("Gate with raised budget = %v, want unlatched", err)
+			}
+			// Put supersedes every fault record.
+			s.Put(done)
+			s.Fault("f", "b", 1, false, errors.New("transient"))
+			s.Fault("l", "b", 2, true, errors.New("final"))
+			s.Fault("p", "b", 1, true, &poisonErr{msg: "killed workers"})
+			settled(t, s)
+			if j == nil {
+				return
+			}
 
-	// Poison latch: holds at any budget.
-	s.Fault("p", "b", 1, true, &poisonErr{msg: "killed workers"})
-	if err := s.Gate("p", 1000); !errors.As(err, &le) || !le.Poison {
-		t.Errorf("Gate on poison cell = %v, want a poison latch", err)
-	}
-
-	// Put supersedes every fault record.
-	s.Put(journal.Record{Kind: "run", Key: "k", Data: []byte("{}")})
-	if _, ok := s.Lookup("k"); !ok {
-		t.Error("Lookup after Put = miss")
-	}
-	if got := s.PriorAttempts("k"); got != 0 {
-		t.Errorf("PriorAttempts after Put = %d, want 0", got)
-	}
-	if err := s.Gate("k", 1); err != nil {
-		t.Errorf("Gate after Put = %v", err)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c, rs, j2 := openJournaledCache(t, dir, journal.Options{})
+			defer j2.Close()
+			if rs.Runs != 1 || rs.Faulted != 1 || rs.Latched != 2 {
+				t.Errorf("replay = %+v, want 1 run, 1 faulted, 2 latched", rs)
+			}
+			re := c.Store().(*MemStore)
+			settled(t, re)
+			for key, want := range map[string]bool{k: true, "f": false, "l": false, "p": false, "missing": false} {
+				if got := re.Restored(key); got != want {
+					t.Errorf("Restored(%s) = %v, want %v", key, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -156,8 +211,9 @@ func TestExecutorSeam(t *testing.T) {
 	}
 }
 
-// TestStoreAccessor: the store a cache was built over is reachable (the
-// coordinator serves it to remote clients), and a plain cache has none.
+// TestStoreAccessor: the store a cache was built over is reachable (so a
+// decorator, such as the benchmark's Put timer, can wrap it), and a plain
+// cache has none.
 func TestStoreAccessor(t *testing.T) {
 	mem := NewMemStore()
 	if got := NewRunCacheWithStore(mem).Store(); got != ResultStore(mem) {

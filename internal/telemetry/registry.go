@@ -56,7 +56,7 @@ type Histogram struct {
 	bounds    []float64
 	buckets   []atomic.Uint64 // len(bounds)+1, cumulative on render
 	count     atomic.Uint64
-	sumBits   atomic.Uint64            // float64 sum, CAS-accumulated
+	sumBits   atomic.Uint64              // float64 sum, CAS-accumulated
 	exemplars []atomic.Pointer[exemplar] // last exemplar per bucket
 }
 

@@ -24,7 +24,7 @@ func TestParseSpanContext(t *testing.T) {
 		{"DEADBEEFDEADBEEF", SpanContext{Trace: "deadbeefdeadbeef"}, true}, // case-normalised
 		{"nothex", SpanContext{}, false},
 		{"deadbeefdeadbeef/xyz", SpanContext{}, false},
-		{"abc", SpanContext{}, false},      // too short
+		{"abc", SpanContext{}, false}, // too short
 		{"deadbeef deadbeef", SpanContext{}, false},
 	}
 	for _, c := range cases {
