@@ -115,7 +115,10 @@ const (
 	DefaultStackMax uint64 = 512 << 20
 )
 
-// Layout describes one process's address-space map.
+// Layout describes one process's address-space map. Its methods take a
+// pointer receiver: the struct is ten words, and InStack runs once per
+// memory reference in the functional loops, where a by-value receiver
+// would copy it on every call.
 type Layout struct {
 	TextBase, TextSize     uint64
 	RODataBase, RODataSize uint64
@@ -138,9 +141,9 @@ func DefaultLayout() Layout {
 }
 
 // Classify returns the region containing addr.
-func (l Layout) Classify(addr uint64) Region {
+func (l *Layout) Classify(addr uint64) Region {
 	switch {
-	case addr < l.StackBase && addr >= l.StackBase-l.StackMax:
+	case l.InStack(addr):
 		return RegionStack
 	case addr >= l.GlobalBase && addr < l.GlobalBase+l.GlobalSize:
 		return RegionGlobal
@@ -156,7 +159,9 @@ func (l Layout) Classify(addr uint64) Region {
 }
 
 // InStack reports whether addr lies in the stack region.
-func (l Layout) InStack(addr uint64) bool { return l.Classify(addr) == RegionStack }
+func (l *Layout) InStack(addr uint64) bool {
+	return addr < l.StackBase && addr >= l.StackBase-l.StackMax
+}
 
 // MethodOf returns the access method of a memory reference based on its
 // base register.
@@ -174,7 +179,7 @@ func MethodOf(base uint8) Method {
 // Depth returns the stack depth of addr in bytes: how far below the stack
 // base the address lies. It panics if addr is not a stack address, since
 // callers are expected to classify first.
-func (l Layout) Depth(addr uint64) uint64 {
+func (l *Layout) Depth(addr uint64) uint64 {
 	if !l.InStack(addr) {
 		panic(fmt.Sprintf("regions: Depth of non-stack address %#x", addr))
 	}
@@ -183,4 +188,4 @@ func (l Layout) Depth(addr uint64) uint64 {
 
 // DepthWords returns the stack depth of addr in 64-bit units, the unit used
 // by Figure 2's y-axis (1000 units = 8KB).
-func (l Layout) DepthWords(addr uint64) uint64 { return l.Depth(addr) / isa.WordSize }
+func (l *Layout) DepthWords(addr uint64) uint64 { return l.Depth(addr) / isa.WordSize }

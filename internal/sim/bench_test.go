@@ -48,8 +48,9 @@ func BenchmarkGeneratorExec(b *testing.B) {
 }
 
 // BenchmarkTraceReplay is the same stream production served from a
-// recorded flat trace — the per-instruction cost every post-first run
-// pays instead of BenchmarkGeneratorExec.
+// recorded flat trace — the per-instruction cost every post-first timing
+// run pays instead of BenchmarkGeneratorExec. Functional traffic runs
+// skip even this copy: they walk the recorded slice in place.
 func BenchmarkTraceReplay(b *testing.B) {
 	prog := benchProgram(b)
 	stream := trace.NewSliceStream(synth.TraceFor(prog, benchStreamInsts))

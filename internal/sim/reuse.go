@@ -15,8 +15,9 @@ package sim
 //     bit-identical to a fresh one (the golden fixture holds it to that).
 //
 // Both stores are transparent: a budget-evicted or oversize trace falls
-// back to live generation, and a faulted run's machine is dropped rather
-// than pooled.
+// back to live generation, and a faulted run's machine or hierarchy is
+// dropped rather than pooled. Timing runs and functional traffic runs
+// share both stores.
 
 import (
 	"sync"
@@ -30,8 +31,10 @@ import (
 )
 
 // DefaultTraceCacheBytes is the recorded-trace budget when no override is
-// set: room for a handful of full-length (1M-instruction) traces, which
-// covers a campaign iterating configuration-major within each profile.
+// set. A trace costs 32 B per instruction, so 256 MiB holds eight
+// 1M-instruction traces but only four of the 2M-instruction traces a
+// Table 3/4 traffic sweep records (61 MiB each): such a sweep evicts, and
+// Table 4 re-records profiles that Table 3 pushed out.
 const DefaultTraceCacheBytes = 256 << 20
 
 var traceCache = tracecache.New(DefaultTraceCacheBytes)
@@ -43,20 +46,26 @@ func SetTraceCacheBudget(bytes int64) { traceCache.SetBudget(bytes) }
 // TraceCacheStats exposes the trace cache's counters (tests, status dumps).
 func TraceCacheStats() tracecache.Stats { return traceCache.Stats() }
 
-// cachedStream returns the first n instructions of prog as a stream,
-// replaying a recorded trace when one exists and recording one when the
-// budget allows. A panic while recording (a faulty profile) abandons the
-// recording and falls back to the live generator, so the panic surfaces
-// inside the supervised run exactly as it did before the cache existed.
+// recordedTrace returns the recorded first n instructions of prog, to be
+// read in place, recording them when the budget allows; nil means the
+// caller must run the generator live (oversize, disabled, or abandoned).
+// A panic while recording (a faulty profile) abandons the recording, so
+// the panic surfaces inside the supervised run exactly as it did before
+// the cache existed.
+func recordedTrace(prog *synth.Program, fp string, n int) []isa.Inst {
+	return traceCache.Get(tracecache.Key{FP: fp, N: n}, func() (insts []isa.Inst) {
+		defer func() { _ = recover() }()
+		return synth.TraceFor(prog, n)
+	})
+}
+
+// cachedStream returns the first n instructions of prog as a stream: a
+// replay of the recorded trace when there is one, else the live generator.
 func cachedStream(prog *synth.Program, fp string, n int) trace.Stream {
-	return traceCache.Stream(
-		tracecache.Key{FP: fp, N: n},
-		func() (insts []isa.Inst) {
-			defer func() { _ = recover() }()
-			return synth.TraceFor(prog, n)
-		},
-		func() trace.Stream { return synth.NewGeneratorFor(prog) },
-	)
+	if insts := recordedTrace(prog, fp, n); insts != nil {
+		return trace.NewSliceStream(insts)
+	}
+	return synth.NewGeneratorFor(prog)
 }
 
 // machinePool recycles pipelines across runs; Reset re-fits whatever

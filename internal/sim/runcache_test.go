@@ -42,6 +42,33 @@ func TestProgramForDistinguishesProfilesSharingID(t *testing.T) {
 	}
 }
 
+// Concurrent first calls for one profile share a single build: every
+// caller gets the same *Program, so calibration runs once per fingerprint.
+func TestProgramForBuildsOncePerFingerprint(t *testing.T) {
+	prof := *synth.Crafty()
+	prof.Seed ^= 0x5eed_0f_c0ffee // a fingerprint no other test builds
+	const callers = 8
+	progs := make([]*synth.Program, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := ProgramFor(&prof)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = p
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("caller %d got program %p, caller 0 got %p", i, p, progs[0])
+		}
+	}
+}
+
 // A cached Result must be identical to a fresh, uncached run, and handing
 // out a result must not let the caller corrupt the cache.
 func TestRunCacheDeterminism(t *testing.T) {

@@ -155,20 +155,36 @@ func (r *Result) Cycles() uint64 { return r.Pipe.Cycles }
 // content fingerprint, not its ID: custom and mutated profiles can share an
 // ID with a bundled profile, and keying on ID alone would silently hand one
 // of them the other's program.
-var programCache sync.Map // fingerprint string → *synth.Program
+var programCache sync.Map // fingerprint string → *programBuild
 
-// ProgramFor returns the (cached) built program for a profile.
+// programBuild is one fingerprint's build, run exactly once however many
+// callers ask for it concurrently.
+type programBuild struct {
+	once sync.Once
+	prog *synth.Program
+	err  error
+}
+
+// ProgramFor returns the (cached) built program for a profile. Concurrent
+// first calls for one profile share a single build and get the same
+// *Program. Builds are deterministic in the fingerprint, so a failed
+// build's error is cached too.
 func ProgramFor(prof *synth.Profile) (*synth.Program, error) {
 	fp := prof.Fingerprint()
-	if v, ok := programCache.Load(fp); ok {
-		return v.(*synth.Program), nil
+	v, ok := programCache.Load(fp)
+	if !ok {
+		v, _ = programCache.LoadOrStore(fp, &programBuild{})
 	}
-	prog, err := synth.BuildProgram(prof)
-	if err != nil {
-		return nil, err
-	}
-	programCache.Store(fp, prog)
-	return prog, nil
+	b := v.(*programBuild)
+	b.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				b.err = fmt.Errorf("sim: building %s: panic: %v", prof.ID(), r)
+			}
+		}()
+		b.prog, b.err = synth.BuildProgram(prof)
+	})
+	return b.prog, b.err
 }
 
 // Run executes one simulation and returns its Result. It is RunContext
@@ -325,9 +341,10 @@ func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt
 	return res, nil
 }
 
-// trafficCtxCheckMask is how often (in instructions, power of two minus
-// one) the functional traffic loops poll their context.
-const trafficCtxCheckMask = 1<<16 - 1
+// trafficChunk is how many instructions the functional traffic loop walks
+// between context polls, and the size of the block the live generator
+// fills when no recorded trace serves the run (128 KiB of instructions).
+const trafficChunk = 1 << 12
 
 // TrafficOnly runs just the stack structure against the trace (no timing
 // pipeline), which is all Table 3 needs; it is an order of magnitude faster
@@ -339,11 +356,71 @@ func TrafficOnly(ctx context.Context, prof *synth.Profile, policy pipeline.Stack
 	case pipeline.PolicySVF:
 		return TrafficOnlySVF(ctx, prof, core.Config{SizeBytes: sizeBytes}, maxInsts, ctxPeriod)
 	case pipeline.PolicyStackCache:
-		return trafficOnlyRun(ctx, prof, nil, stackcache.Config{SizeBytes: sizeBytes}, maxInsts, ctxPeriod)
+		return trafficOnly(ctx, prof, maxInsts, ctxPeriod, func(h *cache.Hierarchy) (m trafficModel, err error) {
+			m.sc, err = stackcache.New(stackcache.Config{SizeBytes: sizeBytes}, h.UL2)
+			return m, err
+		})
 	case pipeline.PolicyRSE:
-		return trafficOnlyRSE(ctx, prof, rse.Config{Regs: sizeBytes / isa.WordSize}, maxInsts, ctxPeriod)
+		return trafficOnly(ctx, prof, maxInsts, ctxPeriod, func(h *cache.Hierarchy) (m trafficModel, err error) {
+			m.rse, err = rse.New(rse.Config{Regs: sizeBytes / isa.WordSize}, h.DL1)
+			return m, err
+		})
 	default:
 		return 0, 0, 0, fmt.Errorf("sim: TrafficOnly needs a stack policy")
+	}
+}
+
+// TrafficOnlySVF is TrafficOnly with full control over the SVF
+// configuration (granularity and liveness-kill ablations).
+func TrafficOnlySVF(ctx context.Context, prof *synth.Profile, svfCfg core.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+	return trafficOnly(ctx, prof, maxInsts, ctxPeriod, func(h *cache.Hierarchy) (m trafficModel, err error) {
+		m.svf, err = core.New(svfCfg, h.DL1)
+		return m, err
+	})
+}
+
+// trafficModel is the stack structure a functional traffic run drives:
+// exactly one field is set.
+type trafficModel struct {
+	svf *core.SVF
+	sc  *stackcache.StackCache
+	rse *rse.RSE
+}
+
+func (m *trafficModel) contextSwitch() {
+	switch {
+	case m.svf != nil:
+		m.svf.ContextSwitch()
+	case m.sc != nil:
+		m.sc.ContextSwitch()
+	default:
+		m.rse.ContextSwitch()
+	}
+}
+
+// spUpdate tells the model $sp moved; only the RSE can refuse.
+func (m *trafficModel) spUpdate(old, sp uint64) error {
+	switch {
+	case m.svf != nil:
+		m.svf.NotifySPUpdate(old, sp)
+	case m.rse != nil:
+		return m.rse.NotifySPUpdate(old, sp)
+	}
+	return nil
+}
+
+// traffic returns the model's quadwords in and out and its average
+// context-switch writeback.
+func (m *trafficModel) traffic() (qwIn, qwOut, ctxBytes uint64) {
+	switch {
+	case m.svf != nil:
+		st := m.svf.Stats()
+		return st.QuadWordsIn, st.QuadWordsOut, m.svf.CtxSwitchBytes()
+	case m.sc != nil:
+		return m.sc.QuadWordsIn(), m.sc.QuadWordsOut(), m.sc.CtxSwitchBytes()
+	default:
+		st := m.rse.Stats()
+		return st.QuadWordsIn, st.QuadWordsOut, m.rse.CtxSwitchBytes()
 	}
 }
 
@@ -362,104 +439,40 @@ func trafficFault(prof *synth.Profile, committed uint64, panicked any, cause err
 	return f
 }
 
-// trafficOnlyRSE drives just the register stack engine over the trace.
-func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cfg rse.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+// trafficOnly is the functional traffic loop every stack policy shares. It
+// walks the profile's recorded trace in place; when no recorded trace
+// serves the run (oversize, evicted, recording disabled), the live
+// generator fills one fixed block at a time and the loop walks that block
+// instead. build makes the model over a pooled cache hierarchy.
+func trafficOnly(ctx context.Context, prof *synth.Profile, maxInsts int, ctxPeriod uint64, build func(*cache.Hierarchy) (trafficModel, error)) (qwIn, qwOut, ctxBytes uint64, err error) {
 	prog, err := ProgramFor(prof)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	gen := cachedStream(prog, prof.Fingerprint(), maxInsts)
-	hier, err := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	insts := recordedTrace(prog, prof.Fingerprint(), maxInsts)
+	var gen *synth.Generator
+	var block []isa.Inst
+	if insts == nil {
+		gen = synth.NewGeneratorFor(prog)
+		block = make([]isa.Inst, min(trafficChunk, max(maxInsts, 0)))
+	} else {
+		maxInsts = min(maxInsts, len(insts))
+	}
+	hcfg := cache.DefaultHierarchyConfig()
+	hier, err := getHierarchy(hcfg)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	eng, err := rse.New(cfg, hier.DL1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var in isa.Inst
-	var committed, nextCtx uint64
-	if ctxPeriod > 0 {
-		nextCtx = ctxPeriod
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = trafficFault(prof, committed, r, nil)
-		}
-	}()
-	spKnown := false
-	var sp uint64
-	for i := 0; i < maxInsts; i++ {
-		if i&trafficCtxCheckMask == 0 && ctx.Err() != nil {
-			return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), ctx.Err())
-		}
-		if !gen.Next(&in) {
-			break
-		}
-		committed++
-		if nextCtx > 0 && committed >= nextCtx {
-			eng.ContextSwitch()
-			nextCtx += ctxPeriod
-		}
-		switch {
-		case in.Kind == isa.KindSPAdjust:
-			if spKnown {
-				old := sp
-				sp = uint64(int64(sp) + int64(in.Imm))
-				if uerr := eng.NotifySPUpdate(old, sp); uerr != nil {
-					return 0, 0, 0, trafficFault(prof, committed, nil, uerr)
-				}
-			}
-		case in.IsMem() && in.SPRelative():
-			if !spKnown {
-				sp = in.Addr - uint64(int64(in.Imm))
-				spKnown = true
-				if uerr := eng.NotifySPUpdate(sp, sp); uerr != nil {
-					return 0, 0, 0, trafficFault(prof, committed, nil, uerr)
-				}
-			}
-			eng.Access(in.Addr, in.Kind == isa.KindStore)
-		}
-	}
-	st := eng.Stats()
-	return st.QuadWordsIn, st.QuadWordsOut, eng.CtxSwitchBytes(), nil
-}
-
-// TrafficOnlySVF is TrafficOnly with full control over the SVF
-// configuration (granularity and liveness-kill ablations).
-func TrafficOnlySVF(ctx context.Context, prof *synth.Profile, svfCfg core.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	return trafficOnlyRun(ctx, prof, &svfCfg, stackcache.Config{}, maxInsts, ctxPeriod)
-}
-
-func trafficOnlyRun(ctx context.Context, prof *synth.Profile, svfCfg *core.Config, scCfg stackcache.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	prog, err := ProgramFor(prof)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	gen := cachedStream(prog, prof.Fingerprint(), maxInsts)
-	hier, err := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	m, err := build(hier)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	layout := regions.DefaultLayout()
 
-	var svf *core.SVF
-	var sc *stackcache.StackCache
-	if svfCfg != nil {
-		svf, err = core.New(*svfCfg, hier.DL1)
-	} else {
-		sc, err = stackcache.New(scCfg, hier.UL2)
-	}
-	if err != nil {
-		return 0, 0, 0, err
-	}
-
-	var in isa.Inst
+	// committed counts instructions the model has consumed; nextCtx is
+	// the count at the next context switch (0: never).
 	var committed uint64
-	var nextCtx uint64
-	if ctxPeriod > 0 {
-		nextCtx = ctxPeriod
-	}
+	nextCtx := ctxPeriod
 	defer func() {
 		if r := recover(); r != nil {
 			err = trafficFault(prof, committed, r, nil)
@@ -467,56 +480,68 @@ func trafficOnlyRun(ctx context.Context, prof *synth.Profile, svfCfg *core.Confi
 	}()
 	spKnown := false
 	var sp uint64
-	for i := 0; i < maxInsts; i++ {
-		if i&trafficCtxCheckMask == 0 && ctx.Err() != nil {
+	for done := 0; done < maxInsts; {
+		if ctx.Err() != nil {
 			return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), ctx.Err())
 		}
-		if !gen.Next(&in) {
-			break
+		var chunk []isa.Inst
+		if gen != nil {
+			chunk = block[:min(len(block), maxInsts-done)]
+			for i := range chunk {
+				gen.Next(&chunk[i])
+			}
+		} else {
+			chunk = insts[done:min(done+trafficChunk, maxInsts)]
 		}
-		committed++
-		if nextCtx > 0 && committed >= nextCtx {
-			if svf != nil {
-				svf.ContextSwitch()
-			} else {
-				sc.ContextSwitch()
+		done += len(chunk)
+		for i := range chunk {
+			in := &chunk[i]
+			committed++
+			if committed == nextCtx {
+				m.contextSwitch()
+				nextCtx += ctxPeriod
 			}
-			nextCtx += ctxPeriod
-		}
-		switch {
-		case in.Kind == isa.KindSPAdjust:
-			if spKnown {
-				old := sp
-				sp = uint64(int64(sp) + int64(in.Imm))
-				if svf != nil {
-					svf.NotifySPUpdate(old, sp)
+			switch {
+			case in.Kind == isa.KindSPAdjust:
+				if spKnown {
+					old := sp
+					sp = uint64(int64(sp) + int64(in.Imm))
+					if uerr := m.spUpdate(old, sp); uerr != nil {
+						return 0, 0, 0, trafficFault(prof, committed, nil, uerr)
+					}
 				}
-			}
-		case in.IsMem():
-			if in.SPRelative() && !spKnown {
-				sp = in.Addr - uint64(int64(in.Imm))
-				spKnown = true
-				if svf != nil {
-					svf.NotifySPUpdate(sp, sp)
+			case in.IsMem():
+				spRel := in.SPRelative()
+				if spRel && !spKnown {
+					sp = in.Addr - uint64(int64(in.Imm))
+					spKnown = true
+					if uerr := m.spUpdate(sp, sp); uerr != nil {
+						return 0, 0, 0, trafficFault(prof, committed, nil, uerr)
+					}
 				}
-			}
-			if !layout.InStack(in.Addr) {
-				continue
-			}
-			isStore := in.Kind == isa.KindStore
-			if svf != nil {
-				if svf.Contains(in.Addr) {
-					svf.Access(in.Addr, isStore, !in.SPRelative())
+				isStore := in.Kind == isa.KindStore
+				switch {
+				case m.rse != nil:
+					// The register stack engine sees only $sp-relative
+					// references.
+					if spRel {
+						m.rse.Access(in.Addr, isStore)
+					}
+				case !layout.InStack(in.Addr):
+				case m.svf != nil:
+					// Out-of-window stack refs go to the DL1, not the SVF.
+					if m.svf.Contains(in.Addr) {
+						m.svf.Access(in.Addr, isStore, !spRel)
+					}
+				default:
+					m.sc.Access(in.Addr, isStore)
 				}
-				// Out-of-window stack refs go to the DL1, not the SVF.
-			} else {
-				sc.Access(in.Addr, isStore)
 			}
 		}
 	}
-	if svf != nil {
-		st := svf.Stats()
-		return st.QuadWordsIn, st.QuadWordsOut, svf.CtxSwitchBytes(), nil
-	}
-	return sc.QuadWordsIn(), sc.QuadWordsOut(), sc.CtxSwitchBytes(), nil
+	qwIn, qwOut, ctxBytes = m.traffic()
+	// Every counter is harvested; the hierarchy can serve the next cell.
+	// A faulted or cancelled cell returned above, dropping its hierarchy.
+	putHierarchy(hcfg, hier)
+	return qwIn, qwOut, ctxBytes, nil
 }

@@ -129,3 +129,42 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 		t.Errorf("cache-disabled run diverges:\n got %+v\nwant %+v", bare, wantA)
 	}
 }
+
+// TestTrafficReplayMatchesGenerator is the functional-traffic counterpart
+// of TestTraceReplayMatchesGenerator: for every bundled profile and every
+// stack policy, TrafficOnly fed by a recorded trace must return exactly
+// what it returns with recording disabled and the live generator feeding
+// the loop.
+func TestTrafficReplayMatchesGenerator(t *testing.T) {
+	defer SetTraceCacheBudget(DefaultTraceCacheBytes)
+	const period = replayInsts / 4
+	type traffic struct{ in, out, ctxBytes uint64 }
+	run := func(prof *synth.Profile, policy pipeline.StackPolicy) traffic {
+		t.Helper()
+		in, out, cb, err := TrafficOnly(context.Background(), prof, policy, 2<<10, replayInsts, period)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", prof.ID(), policy, err)
+		}
+		return traffic{in, out, cb}
+	}
+	profiles := bundledProfiles()
+	if len(profiles) < 16 {
+		t.Fatalf("expected ≥16 profiles (12 SPEC + 4 families), got %d", len(profiles))
+	}
+	for _, prof := range profiles {
+		SetTraceCacheBudget(0)
+		var live []traffic
+		for _, policy := range trafficPolicies {
+			live = append(live, run(prof, policy))
+		}
+		SetTraceCacheBudget(DefaultTraceCacheBytes)
+		for i, policy := range trafficPolicies {
+			if got := run(prof, policy); got != live[i] {
+				t.Errorf("%s/%s: replayed %+v, live generator %+v", prof.ID(), policy, got, live[i])
+			}
+		}
+		if !traceCache.Contains(tracecache.Key{FP: prof.Fingerprint(), N: replayInsts}) {
+			t.Errorf("%s: traffic run did not record its trace", prof.ID())
+		}
+	}
+}

@@ -178,7 +178,7 @@ func (g *Generator) stepSwitch(in *isa.Inst) {
 // floor, so $sp can neither wrap below the region nor scribble over a
 // neighbouring coroutine stack.
 func (g *Generator) stackFloor() uint64 {
-	layout := g.prog.Layout
+	layout := &g.prog.Layout
 	floor := layout.StackBase - layout.StackMax + 4096
 	if len(g.ctxs) > 0 {
 		spacing := uint64(g.prog.Prof.CoroutineSpacingWords) * isa.WordSize
@@ -442,7 +442,7 @@ func (g *Generator) emitSPAdjust(in *isa.Inst, pc uint64, delta int32, immediate
 }
 
 func (g *Generator) emitMem(in *isa.Inst, t *tmpl, f *actFrame, fn *function) {
-	layout := g.prog.Layout
+	layout := &g.prog.Layout
 	prof := g.prog.Prof
 	var addr uint64
 	base := uint8(isa.RegZero)
@@ -585,31 +585,28 @@ func (g *Generator) dataSlot(footprintWords int) uint64 {
 }
 
 // TraceFor materializes the first n instructions of an already-built
-// program's trace into one flat pre-sized buffer. It is the trace cache's
+// program's trace into one flat pre-sized buffer, the generator writing
+// each instruction straight into its slot. It is the trace cache's
 // recording hook: one call here replaces the per-run generator execution
 // for every later run of the same (program, budget) pair.
 func TraceFor(prog *Program, n int) []isa.Inst {
 	g := NewGeneratorFor(prog)
-	out := make([]isa.Inst, 0, n)
-	var in isa.Inst
-	for len(out) < n && g.Next(&in) {
-		out = append(out, in)
+	out := make([]isa.Inst, n)
+	for i := range out {
+		if !g.Next(&out[i]) {
+			return out[:i]
+		}
 	}
 	return out
 }
 
 // Trace generates the first n instructions of the profile's trace.
 func Trace(prof *Profile, n int) ([]isa.Inst, error) {
-	g, err := NewGenerator(prof)
+	prog, err := BuildProgram(prof)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]isa.Inst, 0, n)
-	var in isa.Inst
-	for len(out) < n && g.Next(&in) {
-		out = append(out, in)
-	}
-	return out, nil
+	return TraceFor(prog, n), nil
 }
 
 // Stream returns a bounded stream of the profile's first n instructions.

@@ -9,9 +9,9 @@
 // The cache is bounded by a byte budget with LRU eviction, so long
 // campaigns over many profiles cannot grow it without limit; a trace
 // whose budgeted size alone exceeds the whole cache is never recorded
-// and the caller streams straight from the generator. Both the evicted
-// and the oversize case are transparent to callers: Stream always
-// returns a stream that yields the exact same instructions.
+// and Get returns nil, so the caller generates the stream live. Callers
+// read the recorded slice in place; it is never written after recording,
+// so eviction only drops the cache's reference.
 package tracecache
 
 import (
@@ -19,7 +19,6 @@ import (
 	"unsafe"
 
 	"svf/internal/isa"
-	"svf/internal/trace"
 )
 
 // instBytes is the budget charge per recorded instruction.
@@ -38,10 +37,10 @@ type Key struct {
 
 // Stats are the cache's observability counters.
 type Stats struct {
-	// Hits counts Stream calls served from a recorded trace.
+	// Hits counts Get calls served from a recorded trace.
 	Hits uint64
-	// Misses counts Stream calls that had to run the generator, whether
-	// or not the output was recorded.
+	// Misses counts Get calls that had to run the generator, whether or
+	// not the output was recorded.
 	Misses uint64
 	// Evictions counts traces dropped to make room under the budget.
 	Evictions uint64
@@ -78,8 +77,7 @@ type flight struct {
 }
 
 // New returns a cache bounded by budgetBytes. A non-positive budget
-// disables recording entirely: Stream always falls through to the
-// generator.
+// disables recording entirely: Get always returns nil.
 func New(budgetBytes int64) *Cache {
 	c := &Cache{
 		budget:   budgetBytes,
@@ -143,35 +141,33 @@ func (c *Cache) evictToFitLocked(need int64) {
 	}
 }
 
-// Stream returns an instruction stream for key. On a hit it replays the
-// recorded trace; on a recordable miss it calls record (which must
-// materialize the first key.N instructions of the workload), stores the
-// result, and replays it; when key.N alone overflows the budget it calls
-// stream and returns the live generator unrecorded. Concurrent misses on
-// one key are single-flighted: one caller records, the rest wait and
-// replay.
-func (c *Cache) Stream(key Key, record func() []isa.Inst, stream func() trace.Stream) trace.Stream {
+// Get returns the recorded trace for key, to be read in place and never
+// written. On a hit it returns the recorded slice; on a miss the budget
+// can hold it calls record (which must materialize the first key.N
+// instructions of the workload, or return nil to abandon), stores the
+// result and returns it. It returns nil when key.N alone overflows the
+// budget, when recording is disabled, or when the recorder abandoned:
+// the caller then generates the stream live. Concurrent misses on one key
+// are single-flighted: one caller records, the rest wait for its slice.
+func (c *Cache) Get(key Key, record func() []isa.Inst) []isa.Inst {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		e.unlink()
 		c.pushFront(e)
 		c.stats.Hits++
 		c.mu.Unlock()
-		return trace.NewSliceStream(e.insts)
+		return e.insts
 	}
 	c.stats.Misses++
 	need := int64(key.N) * instBytes
 	if need > c.budget || c.budget <= 0 {
 		c.mu.Unlock()
-		return stream() // oversize: stream straight from the generator
+		return nil // oversize or disabled: the caller generates live
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		<-f.done
-		if f.insts == nil {
-			return stream() // the recorder abandoned; generate live
-		}
-		return trace.NewSliceStream(f.insts)
+		return f.insts // nil if the recorder abandoned
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
@@ -195,8 +191,5 @@ func (c *Cache) Stream(key Key, record func() []isa.Inst, stream func() trace.St
 		close(f.done)
 	}()
 	insts = record()
-	if insts == nil {
-		return stream()
-	}
-	return trace.NewSliceStream(insts)
+	return insts
 }

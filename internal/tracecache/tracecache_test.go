@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"svf/internal/isa"
-	"svf/internal/trace"
 )
 
 // fakeTrace builds a recognisable n-instruction trace seeded by tag.
@@ -20,34 +19,38 @@ func fakeTrace(tag uint64, n int) []isa.Inst {
 	return out
 }
 
-// drain collects a stream, failing the test if it does not match want.
-func drain(t *testing.T, s trace.Stream, want []isa.Inst) {
+// same fails the test unless got is exactly want.
+func same(t *testing.T, got, want []isa.Inst) {
 	t.Helper()
-	var in isa.Inst
+	if len(got) != len(want) {
+		t.Fatalf("trace has %d insts, want %d", len(got), len(want))
+	}
 	for i := range want {
-		if !s.Next(&in) {
-			t.Fatalf("stream ended at %d, want %d insts", i, len(want))
-		}
-		if in != want[i] {
-			t.Fatalf("inst %d = %+v, want %+v", i, in, want[i])
+		if got[i] != want[i] {
+			t.Fatalf("inst %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if s.Next(&in) {
-		t.Fatal("stream yielded more instructions than recorded")
-	}
+}
+
+// noRecord fails the test if the cache tries to record.
+func noRecord(t *testing.T) func() []isa.Inst {
+	return func() []isa.Inst { t.Fatal("recorded when it must not"); return nil }
 }
 
 func TestRecordOnceReplayMany(t *testing.T) {
 	c := New(1 << 20)
 	want := fakeTrace(1, 100)
 	records := 0
-	get := func() trace.Stream {
-		return c.Stream(Key{FP: "p1", N: 100},
-			func() []isa.Inst { records++; return fakeTrace(1, 100) },
-			func() trace.Stream { t.Fatal("budgeted miss used the live generator"); return nil })
-	}
+	var first []isa.Inst
 	for i := 0; i < 3; i++ {
-		drain(t, get(), want)
+		got := c.Get(Key{FP: "p1", N: 100},
+			func() []isa.Inst { records++; return fakeTrace(1, 100) })
+		same(t, got, want)
+		if i == 0 {
+			first = got
+		} else if &got[0] != &first[0] {
+			t.Error("hit returned a copy, not the recorded slice")
+		}
 	}
 	if records != 1 {
 		t.Errorf("record ran %d times, want 1", records)
@@ -65,10 +68,7 @@ func TestDistinctBudgetsKeySeparately(t *testing.T) {
 	c := New(1 << 20)
 	for _, n := range []int{50, 100} {
 		n := n
-		s := c.Stream(Key{FP: "p", N: n},
-			func() []isa.Inst { return fakeTrace(9, n) },
-			func() trace.Stream { return nil })
-		drain(t, s, fakeTrace(9, n))
+		same(t, c.Get(Key{FP: "p", N: n}, func() []isa.Inst { return fakeTrace(9, n) }), fakeTrace(9, n))
 	}
 	if st := c.Stats(); st.Entries != 2 || st.Hits != 0 {
 		t.Errorf("stats = %+v, want 2 entries, 0 hits", st)
@@ -77,16 +77,10 @@ func TestDistinctBudgetsKeySeparately(t *testing.T) {
 
 func TestOversizeStreamsWithoutRecording(t *testing.T) {
 	c := New(10 * instBytes)
-	want := fakeTrace(2, 100)
-	streamed := false
-	s := c.Stream(Key{FP: "big", N: 100},
-		func() []isa.Inst { t.Fatal("oversize trace was recorded"); return nil },
-		func() trace.Stream { streamed = true; return trace.NewSliceStream(fakeTrace(2, 100)) })
-	drain(t, s, want)
-	if !streamed {
-		t.Fatal("fallback stream not used")
+	if got := c.Get(Key{FP: "big", N: 100}, noRecord(t)); got != nil {
+		t.Fatalf("oversize key returned %d insts, want nil (generate live)", len(got))
 	}
-	if st := c.Stats(); st.Entries != 0 || st.UsedBytes != 0 {
+	if st := c.Stats(); st.Misses != 1 || st.Entries != 0 || st.UsedBytes != 0 {
 		t.Errorf("oversize miss changed occupancy: %+v", st)
 	}
 }
@@ -94,15 +88,12 @@ func TestOversizeStreamsWithoutRecording(t *testing.T) {
 func TestLRUEvictionUnderBudget(t *testing.T) {
 	c := New(250 * instBytes) // fits two 100-inst traces, not three
 	add := func(tag uint64, fp string) {
-		s := c.Stream(Key{FP: fp, N: 100},
-			func() []isa.Inst { return fakeTrace(tag, 100) },
-			func() trace.Stream { return nil })
-		drain(t, s, fakeTrace(tag, 100))
+		same(t, c.Get(Key{FP: fp, N: 100}, func() []isa.Inst { return fakeTrace(tag, 100) }), fakeTrace(tag, 100))
 	}
 	add(1, "a")
 	add(2, "b")
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	drain(t, c.Stream(Key{FP: "a", N: 100}, nil, nil), fakeTrace(1, 100))
+	same(t, c.Get(Key{FP: "a", N: 100}, nil), fakeTrace(1, 100))
 	add(3, "c")
 
 	st := c.Stats()
@@ -117,10 +108,8 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	}
 	// The evicted key transparently re-records.
 	rerecorded := false
-	s := c.Stream(Key{FP: "b", N: 100},
-		func() []isa.Inst { rerecorded = true; return fakeTrace(2, 100) },
-		func() trace.Stream { return nil })
-	drain(t, s, fakeTrace(2, 100))
+	got := c.Get(Key{FP: "b", N: 100}, func() []isa.Inst { rerecorded = true; return fakeTrace(2, 100) })
+	same(t, got, fakeTrace(2, 100))
 	if !rerecorded {
 		t.Error("evicted trace was not re-recorded")
 	}
@@ -130,9 +119,7 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	c := New(1 << 20)
 	for i := 0; i < 4; i++ {
 		tag, fp := uint64(i), fmt.Sprint(i)
-		drain(t, c.Stream(Key{FP: fp, N: 10},
-			func() []isa.Inst { return fakeTrace(tag, 10) },
-			func() trace.Stream { return nil }), fakeTrace(tag, 10))
+		same(t, c.Get(Key{FP: fp, N: 10}, func() []isa.Inst { return fakeTrace(tag, 10) }), fakeTrace(tag, 10))
 	}
 	c.SetBudget(15 * instBytes) // room for one 10-inst trace
 	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != 10*instBytes {
@@ -142,14 +129,9 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 {
 		t.Errorf("zero budget retained entries: %+v", st)
 	}
-	// Disabled cache streams straight through.
-	used := false
-	drain(t, c.Stream(Key{FP: "x", N: 10},
-		func() []isa.Inst { t.Fatal("recorded while disabled"); return nil },
-		func() trace.Stream { used = true; return trace.NewSliceStream(fakeTrace(7, 10)) }),
-		fakeTrace(7, 10))
-	if !used {
-		t.Error("fallback not used while disabled")
+	// A disabled cache records nothing: the caller generates live.
+	if got := c.Get(Key{FP: "x", N: 10}, noRecord(t)); got != nil {
+		t.Errorf("disabled cache returned %d insts, want nil", len(got))
 	}
 }
 
@@ -163,20 +145,13 @@ func TestSingleFlightConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := c.Stream(Key{FP: "p", N: 64},
-				func() []isa.Inst {
-					records.Add(1)
-					<-release // hold the flight open so others pile up
-					return fakeTrace(5, 64)
-				},
-				func() trace.Stream { return trace.NewSliceStream(fakeTrace(5, 64)) })
-			var in isa.Inst
-			n := 0
-			for s.Next(&in) {
-				n++
-			}
-			if n != 64 {
-				t.Errorf("stream yielded %d insts, want 64", n)
+			got := c.Get(Key{FP: "p", N: 64}, func() []isa.Inst {
+				records.Add(1)
+				<-release // hold the flight open so others pile up
+				return fakeTrace(5, 64)
+			})
+			if len(got) != 64 {
+				t.Errorf("Get returned %d insts, want 64", len(got))
 			}
 		}()
 	}
@@ -199,14 +174,10 @@ func TestPanickingRecorderReleasesWaiters(t *testing.T) {
 				t.Fatal("record panic did not propagate")
 			}
 		}()
-		c.Stream(Key{FP: "boom", N: 8},
-			func() []isa.Inst { panic("synthetic") },
-			func() trace.Stream { return nil })
+		c.Get(Key{FP: "boom", N: 8}, func() []isa.Inst { panic("synthetic") })
 	}()
 	// The flight must be gone: the next call records normally.
-	drain(t, c.Stream(Key{FP: "boom", N: 8},
-		func() []isa.Inst { return fakeTrace(3, 8) },
-		func() trace.Stream { return nil }), fakeTrace(3, 8))
+	same(t, c.Get(Key{FP: "boom", N: 8}, func() []isa.Inst { return fakeTrace(3, 8) }), fakeTrace(3, 8))
 	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("stats after recovery: %+v", st)
 	}
