@@ -248,12 +248,16 @@ func TestChaosDaemonKillWithFleet(t *testing.T) {
 	specs := chaosSpecs()
 
 	// Phase 1: daemon accepts all four submissions, then the kill fires on
-	// the last accept (daemon-kill=3: clients 0/3 share one job).
+	// the last accept (daemon-kill=3: clients 0/3 share one job). The
+	// first two jobs start but their cells block until the kill cancels
+	// them, so all three die mid-job; the kill's journal fence is what
+	// keeps the canceled jobs from being journaled done.
 	plan, err := faultinject.Parse("daemon-kill=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	kj, kcache, kjobs, kreplay := openServiceJournals(t, dir)
+	kcache.SetExecutor(newBlockingExec())
 	killed := false
 	s1, err := New(Config{
 		Cache: kcache, Jobs: kjobs, JobsReplay: kreplay,
@@ -278,6 +282,18 @@ func TestChaosDaemonKillWithFleet(t *testing.T) {
 	}
 	if !killed {
 		t.Fatal("daemon-kill never fired")
+	}
+	// The dead server's running jobs must wind down: the kill canceled
+	// their cells.
+	drained := make(chan struct{})
+	go func() {
+		s1.jobsWG.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("jobs still running on the killed daemon")
 	}
 	kjobs.Close()
 	kj.Close()

@@ -194,6 +194,12 @@ type Server struct {
 
 	resultsSeq atomic.Uint64
 
+	// fence guards dead: journalJob holds it shared across each append,
+	// kill takes it exclusively, so once kill returns no job record is
+	// in flight and none is written after.
+	fence sync.RWMutex
+	dead  bool
+
 	// addrs for /readyz; set by the daemon once listeners are bound.
 	addrMu     sync.Mutex
 	listenAddr string
@@ -456,7 +462,9 @@ func (s *Server) SubmitTraced(spec *JobSpec, rawLen int, parent telemetry.SpanCo
 		s.cfg.Logf("svfd: inject: daemon-kill after accepting job %d", seq)
 		s.cfg.Exit(137)
 		// An Exit seam that returns (in-process tests) means the daemon
-		// is dead: the accepted job must not start — the restart runs it.
+		// is dead: the accepted job must not start — the restart runs it —
+		// and nothing the dead server still runs may reach the journal.
+		s.kill()
 		s.jobsWG.Done()
 		return submitResult{job: j}
 	}
@@ -472,10 +480,26 @@ func (s *Server) SubmitTraced(spec *JobSpec, rawLen int, parent telemetry.SpanCo
 	return submitResult{job: j}
 }
 
+// kill makes the server dead as a kill -9 would: it fences the job
+// journal, so no record is written past this point, and cancels every
+// running cell. Jobs the journal holds only as accepted stay unfinished
+// there, and the restart re-runs them.
+func (s *Server) kill() {
+	s.fence.Lock()
+	s.dead = true
+	s.fence.Unlock()
+	s.cancelBase()
+}
+
 // journalJob appends one job record; journal loss is logged, not fatal —
-// the daemon keeps serving from memory.
+// the daemon keeps serving from memory. A killed server appends nothing.
 func (s *Server) journalJob(j *Job, state string, cells []cellRecord) {
 	if s.cfg.Jobs == nil {
+		return
+	}
+	s.fence.RLock()
+	defer s.fence.RUnlock()
+	if s.dead {
 		return
 	}
 	specJSON, err := json.Marshal(j.spec)
